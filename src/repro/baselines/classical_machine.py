@@ -20,9 +20,8 @@ overflowing element, record it in the PSW, discard the rest).  Only the
 
 * **Vector streams.**  A VL >= 2 FALU instruction becomes a vector
   stream: ``vector_startup`` dead cycles, then one element per cycle.
-  Runs of two or more FPU loads (stores) off one base register -- what
-  the unified machine's fast path recognises as
-  :func:`repro.core.semantics.memory_runs` -- are issued as a single
+  Runs of two or more FPU loads (stores) off one base register
+  (:func:`repro.core.semantics.memory_runs`) are issued as a single
   vector-register load (store): ``memory_startup`` dead cycles then one
   element per cycle, exactly the analytic model's ``startup + n``.
 * **Chaining.**  A vector FALU whose sources overlap the destination

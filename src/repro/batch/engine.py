@@ -29,12 +29,12 @@ Each lane advance rebinds a per-lane :class:`repro.core.fpu.Fpu` shell
 onto the lane's hoisted rows (register list, scoreboard bits, pending
 dict, ALU IR) and then runs a transcription of the reference per-cycle
 loop (``ExecutionCore._run_slow``) with the event/fault/audit/interrupt
-hooks removed -- the real ``Fpu`` methods (element issue, bursts,
-load/store hazard checks, overflow restart) run unmodified on the
-hoisted state, so FPU semantics cannot drift from the scalar core.
-Three state-identical accelerations from the fast path are kept (the
-halted writeback drain, the known-length ``cpu_ready`` wait, and the
-FALU busy-wait burst sub-loop), each clamped to any stop/pause bound.
+hooks removed -- the real ``Fpu`` methods (element issue, load/store
+hazard checks, overflow restart) run unmodified on the hoisted state,
+so FPU semantics cannot drift from the scalar core.  Two
+state-identical accelerations from the fast path are kept (the halted
+writeback drain and the known-length ``cpu_ready`` wait), each clamped
+to any stop/pause bound.
 
 Lanes that HALT, fault, or pause are simply not advanced further --
 masked out of the fleet loop, never unbatched.  Lockstep slicing
@@ -95,9 +95,8 @@ class _LaneShell:
     integer register lists and a stats record) and writes its exit
     state back to ``cycle``/``pc``/``halted`` plus the three stage
     attributes.  The fleet hoists a lane into this shell, drives the
-    *unmodified* core -- superblock dispatch, load/store-run
-    scheduling, loop memoization, all precomputed per shared program --
-    and scatters the shell back into the arrays, so the batched fast
+    *unmodified* core -- quiescent-cycle skipping and loop memoization
+    -- and scatters the shell back into the arrays, so the batched fast
     path cannot drift from ``fastpath`` (whose bit-exactness against
     ``percycle`` the equivalence fuzz job enforces).
     """
@@ -465,7 +464,7 @@ class SoaFleet:
 
     # ------------------------------------------------------------------
     # The per-lane advance: ExecutionCore._run_slow transcribed, hooks
-    # removed, plus three state-identical fast-path jumps.
+    # removed, plus two state-identical fast-path jumps.
     # ------------------------------------------------------------------
 
     def _advance_lane(self, index, limit, stop_cycle=None,
@@ -500,7 +499,6 @@ class SoaFleet:
         values = fregs
         fpu_stats = fpu.stats
         try_issue_element = fpu.try_issue_element
-        try_issue_burst = fpu.try_issue_burst
 
         dcache_access = self.dcaches[index].access
         ibuf = self.ibufs[index]
@@ -544,14 +542,11 @@ class SoaFleet:
         paused = False
 
         # Quiescent-cycle jumps must not sail past a stop/pause bound
-        # (the loop-top checks have to fire at exactly that cycle); the
-        # FALU busy-wait sub-loop may overshoot, so it only runs
-        # unbounded -- bounded runs take the verbatim per-cycle spin.
+        # (the loop-top checks have to fire at exactly that cycle).
         jump_bound = stop_cycle
         if pause_cycle is not None:
             jump_bound = pause_cycle if jump_bound is None \
                 else min(jump_bound, pause_cycle)
-        fast_falu = stop_cycle is None and pause_cycle is None
 
         try:
             while cycle < limit:
@@ -626,55 +621,9 @@ class SoaFleet:
                 if kind == K_FALU:
                     if fpu.alu_ir is not None \
                             or cycle < fpu.alu_ir_free_cycle:
-                        if not fast_falu:
-                            stats.stall_alu_ir_busy += 1
-                            cycle += 1
-                            continue
-                        stalls = 0
-                        limit_hit = False
-                        while True:
-                            state = fpu.alu_ir
-                            if (state is None
-                                    and cycle >= fpu.alu_ir_free_cycle):
-                                break
-                            if (state is not None
-                                    and cycle + state.remaining + 1
-                                    < limit):
-                                issued = try_issue_burst(cycle + 1)
-                                if issued:
-                                    stalls += issued + 1
-                                    cycle += issued + 1
-                                    while pending:
-                                        key = min(pending)
-                                        if key > cycle:
-                                            break
-                                        ready = pending.pop(key)
-                                        for register, value in ready:
-                                            values[register] = value
-                                            sb_bits[register] = False
-                                        last_retire_cycle = key
-                                    continue
-                            stalls += 1
-                            cycle += 1
-                            if cycle >= limit:
-                                limit_hit = True
-                                break
-                            ready = pending.pop(cycle, None)
-                            if ready:
-                                for register, value in ready:
-                                    values[register] = value
-                                    sb_bits[register] = False
-                                last_retire_cycle = cycle
-                            if fpu.alu_ir is not None:
-                                try_issue_element(cycle)
-                        stats.stall_alu_ir_busy += stalls
-                        if model_ibuffer:
-                            # The per-cycle loop re-fetches on every
-                            # spin; those are all buffer hits.
-                            ibuf.hits += stalls - 1 if limit_hit \
-                                else stalls
-                        if limit_hit:
-                            break
+                        stats.stall_alu_ir_busy += 1
+                        cycle += 1
+                        continue
                     # accept_transfer, inlined without the event hook
                     state = _AluState.__new__(_AluState)
                     (_, state.op, state.rr, state.ra, state.rb, vl,

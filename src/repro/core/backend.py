@@ -22,8 +22,8 @@ Three backends are registered here:
     The MultiTitan simulator with the fast path disabled: the reference
     cycle-by-cycle staged pipeline (:mod:`repro.cpu.pipeline`).
 ``fastpath``
-    The same machine with superblock dispatch, vector element bursts and
-    loop memoization enabled (the default; bit-exact with ``percycle``
+    The same machine with quiescent-cycle skipping and loop memoization
+    enabled (the default; bit-exact with ``percycle``
     -- the fastpath-equivalence fuzz job enforces it).
 ``classical``
     A cycle-level classical chained-vector machine
@@ -241,7 +241,7 @@ register_backend(
 )
 register_backend(
     "fastpath",
-    "MultiTitan with superblock dispatch and loop memoization (default)",
+    "MultiTitan with quiescent-cycle skipping and loop memoization (default)",
     timing_domain="multititan",
     factory=_multititan_factory(fast_path=True),
 )

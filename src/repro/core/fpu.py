@@ -27,10 +27,10 @@ from repro.core.types import (FLOP_OPS, Op, UNARY_OPS, execute_op, nan_result,
                               result_overflowed)
 from repro.fparith.division import iteration_step
 
-#: Inline arithmetic for the burst-eligible operations.  Operand types
+#: Inline arithmetic for the common binary operations.  Operand types
 #: are pre-checked as floats, so these compute exactly what
 #: :func:`execute_op` would without its dispatch and checking overhead.
-_BURST_BINOP = {
+_INLINE_BINOP = {
     Op.ADD: _float_add,
     Op.SUB: _float_sub,
     Op.MUL: _float_mul,
@@ -203,7 +203,7 @@ class Fpu:
             result = execute_op(op, a, b)
         else:
             b = values[rb]
-            opfn = _BURST_BINOP.get(op)
+            opfn = _INLINE_BINOP.get(op)
             if (opfn is not None and type(a) is float
                     and type(b) is float):
                 result = opfn(a, b)
@@ -263,121 +263,6 @@ class Fpu:
             if state.stride_rb:
                 state.rb = rb + 1
         return True
-
-    #: Burst-eligible operations: binary, float-only sources (so
-    #: ``execute_op`` cannot raise once the operand types are checked),
-    #: and all counted as floating-point work.
-    _BURST_OPS = frozenset({Op.ADD, Op.SUB, Op.MUL, Op.ITER})
-
-    def try_issue_burst(self, cycle, max_elements=None):
-        """Issue up to ``max_elements`` consecutive elements of the ALU
-        IR at ``cycle``, ``cycle + 1``, ... in one call.
-
-        Fast-path helper (the per-cycle architecture is
-        :meth:`try_issue_element`; this produces bit-identical state and
-        timing, just without per-cycle bookkeeping).  The whole burst
-        must be provably stall-free up front: no reservation bit over
-        any source or destination of the remaining elements, and the
-        source footprint disjoint from the destination footprint --
-        which exactly excludes reductions and recurrences, whose
-        elements must feel each other through the scoreboard.  Returns
-        the number of elements issued (0 = caller falls back to the
-        per-cycle sequencer).  A mid-burst overflow aborts with the
-        instruction register parked at the overflowing element, exactly
-        like the per-cycle path (section 2.3.3).
-        """
-        state = self.alu_ir
-        if state is None or state.remaining < 2:
-            return 0
-        op = state.op
-        if op not in self._BURST_OPS:
-            return 0
-        if self.emit_element is not None or self.scoreboard.audit_ports:
-            return 0
-        remaining = state.remaining
-        if max_elements is not None and max_elements < remaining:
-            remaining = max_elements
-            if remaining < 1:
-                return 0
-        bits = self.scoreboard.bits
-        num_registers = len(bits)
-        rr, ra, rb = state.rr, state.ra, state.rb
-        stride_ra, stride_rb = state.stride_ra, state.stride_rb
-        last = remaining - 1
-        dest_lo, dest_hi = rr, rr + last
-        if dest_hi >= num_registers:
-            return 0  # per-cycle path raises the proper diagnostic
-        values = self.regs.values
-        sources = set(range(ra, ra + last + 1) if stride_ra else (ra,))
-        sources.update(range(rb, rb + last + 1) if stride_rb else (rb,))
-        for source in sources:
-            if source >= num_registers:
-                return 0
-            if dest_lo <= source <= dest_hi or bits[source]:
-                return 0
-            if type(values[source]) is not float:
-                return 0  # per-cycle path raises the type diagnostic
-        for dest in range(dest_lo, dest_hi + 1):
-            if bits[dest]:
-                return 0
-
-        latency = self.latency
-        pending = self._pending
-        unit = self.units[UNIT_OF_OP[op]]
-        stats = self.stats
-        opfn = _BURST_BINOP[op]
-        issued = 0
-        while True:
-            a = values[ra]
-            b = values[rb]
-            result = opfn(a, b)
-            if result != result:
-                result = nan_result(a, b)
-            bits[rr] = True
-            key = cycle + latency
-            if key in pending:
-                pending[key].append((rr, result))
-            else:
-                pending[key] = [(rr, result)]
-            issued += 1
-            if isinf(result) and result_overflowed(op, a, b, result):
-                # Identical to the per-cycle abort: park the IR at the
-                # overflowing element (specifiers advanced to it, its
-                # count not yet decremented).
-                state.rr, state.ra, state.rb = rr, ra, rb
-                state.remaining -= issued - 1
-                unit.issue_count += issued
-                stats.elements_issued += issued
-                stats.flops += issued
-                self.regs.psw.record_overflow(rr, element=state.element)
-                stats.overflow_aborts += 1
-                self.aborted_ir = state
-                self.alu_ir = None
-                self.alu_ir_free_cycle = cycle + 1
-                return issued
-            if issued > last:
-                break
-            rr += 1
-            if stride_ra:
-                ra += 1
-            if stride_rb:
-                rb += 1
-            cycle += 1
-        unit.issue_count += issued
-        stats.elements_issued += issued
-        stats.flops += issued
-        if issued == state.remaining:
-            state.remaining = 0
-            self.alu_ir = None
-            self.alu_ir_free_cycle = cycle + 1
-        else:
-            state.remaining -= issued
-            state.rr = rr + 1
-            if stride_ra:
-                state.ra = ra + 1
-            if stride_rb:
-                state.rb = rb + 1
-        return issued
 
     def resume_aborted(self, cycle):
         """Restart an overflow-aborted vector from its overflowing element.

@@ -184,135 +184,35 @@ def predecode(instructions):
 
 
 # ----------------------------------------------------------------------
-# Superblocks: straight-line runs predigested for the fast path
+# Memory runs: straight-line FPU load/store runs off one base register
 # ----------------------------------------------------------------------
-
-#: Kinds that a superblock body may contain: single-cycle integer work
-#: with no stall condition other than operand delay slots and no side
-#: effects beyond one register write.
-_BLOCK_BODY_KINDS = frozenset({K_INT_IMM, K_INT_BINOP, K_LI, K_NOP})
-
-#: Kinds that may terminate a superblock with a pre-resolved next pc.
-_BLOCK_TERMINAL_KINDS = frozenset({K_BRANCH, K_J})
-
-
-class Superblock:
-    """A straight-line run of simple integer instructions, optionally
-    ended by one branch/jump, predigested for block-at-a-time dispatch.
-
-    Built by :func:`superblocks`; consumed by the execution core's fast
-    path (:meth:`repro.cpu.pipeline.ExecutionCore._run_fast`).  A block
-    starting at pc ``p`` with ``len(body)`` body entries issues one
-    instruction per cycle with no possible stall *provided* the caller
-    has checked the block's preconditions (all integer operands past
-    their delay slots, every fetch line resident); the terminal entry --
-    when present -- is dispatched by the generic path's branch logic but
-    with the body's cycles already accounted.
-    """
-
-    __slots__ = ("body", "terminal", "n_body", "n_instructions",
-                 "n_integer", "fetch_addresses", "source_regs")
-
-    def __init__(self, body, terminal, pc):
-        self.body = tuple(body)
-        self.terminal = terminal
-        self.n_body = len(self.body)
-        self.n_instructions = self.n_body + (0 if terminal is None else 1)
-        # NOPs count as instructions but not as integer instructions;
-        # branches are counted separately by the dispatcher.
-        self.n_integer = sum(1 for entry in self.body
-                             if entry[0] != K_NOP)
-        # Distinct instruction-fetch addresses (pc << 2) covering every
-        # issue in the block, terminal included -- the fast path checks
-        # buffer residence for all of them before committing to the block.
-        self.fetch_addresses = tuple(
-            p << 2 for p in range(pc, pc + self.n_instructions))
-        # Integer registers read anywhere in the block (for the
-        # all-operands-ready precondition).
-        sources = set()
-        for entry in self.body:
-            kind = entry[0]
-            if kind == K_INT_IMM:
-                sources.add(entry[2])
-            elif kind == K_INT_BINOP:
-                sources.add(entry[2])
-                sources.add(entry[3])
-        if terminal is not None and terminal[0] == K_BRANCH:
-            sources.add(terminal[1])
-            sources.add(terminal[2])
-        self.source_regs = tuple(sorted(sources))
-
-
-def superblocks(decoded):
-    """Per-pc superblock table for a predecoded program.
-
-    ``table[pc]`` is the :class:`Superblock` beginning at ``pc`` or
-    ``None`` when the run starting there is too short to be worth block
-    dispatch (fewer than two issues).  Every pc gets its own (suffix)
-    block, so control transfers landing mid-run still dispatch blocks.
-    """
-    length = len(decoded)
-    table = [None] * length
-    for pc in range(length - 1, -1, -1):
-        kind = decoded[pc][0]
-        if kind not in _BLOCK_BODY_KINDS:
-            continue
-        body = [decoded[pc]]
-        scan = pc + 1
-        while scan < length and decoded[scan][0] in _BLOCK_BODY_KINDS:
-            body.append(decoded[scan])
-            scan += 1
-        terminal = None
-        if scan < length and decoded[scan][0] in _BLOCK_TERMINAL_KINDS:
-            terminal = decoded[scan]
-        block = Superblock(body, terminal, pc)
-        if block.n_instructions >= 2:
-            table[pc] = block
-    return table
-
 
 class LoadRun:
     """A straight-line run of FPU loads off one base register with
-    pairwise-distinct destination registers.
+    pairwise-distinct destination registers -- one vector-register load
+    on the classical backend
+    (:mod:`repro.baselines.classical_machine`)."""
 
-    When the FPU is otherwise idle the run issues one load per cycle:
-    each write retires the cycle after issue, before the next load's
-    scoreboard check, so the fast path can apply all the register writes
-    directly and account the cycles, port holds, and cache hits in one
-    step (preconditions -- base past its delay slot, port free, every
-    line resident, addresses in bounds -- checked by the dispatcher).
-    """
+    __slots__ = ("ra", "fds", "offsets", "n")
 
-    __slots__ = ("ra", "fds", "offsets", "n", "fetch_addresses")
-
-    def __init__(self, ra, fds, offsets, pc):
+    def __init__(self, ra, fds, offsets):
         self.ra = ra
         self.fds = tuple(fds)
         self.offsets = tuple(offsets)
         self.n = len(self.fds)
-        self.fetch_addresses = tuple(
-            p << 2 for p in range(pc, pc + self.n))
 
 
 class StoreRun:
-    """A straight-line run of FPU stores off one base register.
+    """A straight-line run of FPU stores off one base register -- one
+    vector-register store on the classical backend."""
 
-    Store timing is port-paced (a store holds the port ``store_cycles``
-    cycles) and gated on each source register's pending writeback, both
-    of which the fast path resolves arithmetically -- including while a
-    conflict-free vector instruction is still issuing elements alongside
-    the run (:meth:`repro.cpu.pipeline.ExecutionCore._run_fast`).
-    """
+    __slots__ = ("ra", "fss", "offsets", "n")
 
-    __slots__ = ("ra", "fss", "offsets", "n", "fetch_addresses")
-
-    def __init__(self, ra, fss, offsets, pc):
+    def __init__(self, ra, fss, offsets):
         self.ra = ra
         self.fss = tuple(fss)
         self.offsets = tuple(offsets)
         self.n = len(self.fss)
-        self.fetch_addresses = tuple(
-            p << 2 for p in range(pc, pc + self.n))
 
 
 def memory_runs(decoded):
@@ -321,8 +221,8 @@ def memory_runs(decoded):
     Returns ``(load_runs, store_runs)``; ``load_runs[pc]`` is the
     :class:`LoadRun` beginning at ``pc`` (or ``None`` when the run there
     is shorter than two loads, shares no base register, or repeats a
-    destination), and likewise for ``store_runs``.  Like superblocks,
-    every pc inside a run gets its own suffix run.
+    destination), and likewise for ``store_runs``.  Every pc inside a
+    run gets its own suffix run.
     """
     length = len(decoded)
     load_runs = [None] * length
@@ -344,7 +244,7 @@ def memory_runs(decoded):
                 offsets.append(nxt[3])
                 scan += 1
             if len(fds) >= 2:
-                load_runs[pc] = LoadRun(ra, fds, offsets, pc)
+                load_runs[pc] = LoadRun(ra, fds, offsets)
         elif kind == K_FSTORE:
             ra = entry[2]
             fss = [entry[1]]
@@ -358,7 +258,7 @@ def memory_runs(decoded):
                 offsets.append(nxt[3])
                 scan += 1
             if len(fss) >= 2:
-                store_runs[pc] = StoreRun(ra, fss, offsets, pc)
+                store_runs[pc] = StoreRun(ra, fss, offsets)
     return load_runs, store_runs
 
 

@@ -141,8 +141,8 @@ def nan_result(a, b=None):
     semantic.  The architecture instead defines: the first NaN operand
     propagates unchanged; an invalid operation on non-NaN operands
     (``inf - inf``, ``0 * inf``) yields the canonical quiet NaN.  Every
-    arithmetic site -- :func:`execute_op` and the fast-path burst
-    helpers -- must route NaN results through this function.
+    arithmetic site -- :func:`execute_op` and the element sequencer's
+    inline arithmetic -- must route NaN results through this function.
     """
     if a != a:
         return a

@@ -69,8 +69,8 @@ class MachineConfig:
     # (repro.robustness.invariants); strict runs only -- it costs time.
     audit_invariants: bool = False
     trace: bool = False
-    # Allow the execution core's fast path (superblock dispatch, vector
-    # element bursts, quiescent-cycle skipping).  Bit-exact with the
+    # Allow the execution core's fast path (quiescent-cycle skipping and
+    # steady-state loop memoization).  Bit-exact with the
     # per-cycle loop -- the fastpath-equivalence fuzz job enforces it --
     # and automatically bypassed per-run whenever an observer, stop
     # cycle, fault plan, or invariant audit needs cycle granularity.

@@ -20,7 +20,9 @@ This module replaces the former ~450-line monolithic loop in
   **predecoded** program (:func:`repro.core.semantics.predecode`): each
   instruction word is decoded exactly once at load into a dense
   ``(kind, ...)`` entry with pre-bound per-opcode semantics callables,
-  so the hot loop never re-inspects opcodes.
+  so the hot loop never re-inspects opcodes.  It has two loops: the
+  reference per-cycle loop and an unobserved fast path that skips
+  quiescent cycles and memoizes steady-state loops.
 
 Architectural semantics (what each opcode *does*) live in exactly one
 place -- :mod:`repro.core.semantics` -- shared with the functional
@@ -51,11 +53,9 @@ from repro.core.events import (
     RetireEvent,
     StoreIssueEvent,
 )
-from math import isinf
-
 from repro.core.exceptions import SimulationError
-from repro.core.fpu import _AluState, _BURST_BINOP
-from repro.core.functional_units import CYCLE_TIME_NS, UNIT_OF_OP
+from repro.core.fpu import _AluState
+from repro.core.functional_units import CYCLE_TIME_NS
 from operator import eq as _op_eq, ge as _op_ge, gt as _op_gt
 from operator import le as _op_le, lt as _op_lt, ne as _op_ne
 
@@ -335,11 +335,11 @@ class ExecutionCore:
         subsequent ``run()`` -- or a restore of a snapshot into a fresh
         machine -- resumes from there.
 
-        Dispatches to the fast path (:meth:`_run_fast`: superblock
-        dispatch, vector element bursts, quiescent-cycle skipping) when
-        nothing needs per-cycle visibility; otherwise -- any event-bus
-        subscriber, a ``stop_cycle``, a fault plan, per-cycle audits, or
-        pending interrupts -- the per-cycle loop runs.  Both paths
+        Dispatches to the fast path (:meth:`_run_fast`: quiescent-cycle
+        skipping and loop memoization) when nothing needs per-cycle
+        visibility; otherwise -- any event-bus subscriber, a
+        ``stop_cycle``, a fault plan, per-cycle audits, or pending
+        interrupts -- the per-cycle loop runs.  Both paths
         produce bit-identical architectural state, cycle counts, and
         stats (enforced by the fast-vs-slow differential fuzz mode).
         """
@@ -850,197 +850,28 @@ class ExecutionCore:
                 try_issue_element(cycle)
         return last_key
 
-    def _plan_store_run(self, run, cycle, port_free, limit, iregs,
-                        memory_words, mem_len):
-        """Closed-form schedule for a straight-line FPU store run.
-
-        Purely reads state and returns either ``None`` (some store in
-        the run needs the per-cycle path: a cache miss or out-of-bounds
-        address, an in-flight ALU instruction the burst rules cannot
-        prove conflict-free, a read that would race an unissued element
-        and raise the ordering-hazard warning, or the cycle limit landing
-        inside the run) or a plan tuple describing exactly the state the
-        per-cycle loop would reach: the memory writes, the issue cycle of
-        the last store, per-counter stall totals, and -- when the ALU IR
-        drains during the run -- the precomputed element results.
-
-        The schedule is exact because during a store run nothing can
-        reserve a new register (stores write no registers, element
-        destinations are checked clear up front) so retirements only ever
-        *clear* scoreboard bits: every element of the in-flight
-        instruction issues back-to-back, and each store's stall span
-        against the port, the interlocked current element, and the
-        scoreboard is a closed formula in the same priority order the
-        per-cycle loop applies.
-        """
-        fpu = self.sequencer.fpu
-        sb_bits = fpu.scoreboard.bits
-        values = fpu.regs.values
-        pending = fpu._pending
-        latency = fpu.latency
-        num_registers = len(sb_bits)
-        state = fpu.alu_ir
-
-        # Pending writes are unique per register (scoreboard invariant),
-        # so a flat map gives each register's release cycle and value.
-        retire_key = {}
-        retire_val = {}
-        if pending:
-            for key, writes in pending.items():
-                for register, value in writes:
-                    retire_key[register] = key
-                    retire_val[register] = value
-
-        n_elems = 0
-        rr0 = dest_hi = c0 = 0
-        results = None
-        if state is not None:
-            opfn = _BURST_BINOP.get(state.op)
-            if opfn is None:
-                return None
-            n_elems = state.remaining
-            rr0 = state.rr
-            dest_hi = rr0 + n_elems - 1
-            c0 = cycle + 1  # next element issues next cycle at earliest
-            if dest_hi >= num_registers:
-                return None
-            ra_k, rb_k = state.ra, state.rb
-            stride_ra, stride_rb = state.stride_ra, state.stride_rb
-            results = []
-            for k in range(n_elems):
-                if ra_k >= num_registers or rb_k >= num_registers:
-                    return None
-                if rr0 <= ra_k <= dest_hi or rr0 <= rb_k <= dest_hi:
-                    return None
-                # An in-flight write to a source or the destination is
-                # fine as long as it retires no later than this
-                # element's issue cycle (retirement precedes issue
-                # within a cycle); any later and the element stalls,
-                # shifting the whole schedule -- per-cycle path then.
-                ik = c0 + k
-                key = retire_key.get(ra_k)
-                if key is None:
-                    a = values[ra_k]
-                elif key <= ik:
-                    a = retire_val[ra_k]
-                else:
-                    return None
-                key = retire_key.get(rb_k)
-                if key is None:
-                    b = values[rb_k]
-                elif key <= ik:
-                    b = retire_val[rb_k]
-                else:
-                    return None
-                key = retire_key.get(rr0 + k)
-                if key is not None and (key > ik or k == n_elems - 1):
-                    # A write retiring at the last element's issue cycle
-                    # could land exactly on the commit horizon, where
-                    # the ordering of pop vs. reserve matters; leave
-                    # that corner to the per-cycle path.
-                    return None
-                if type(a) is not float or type(b) is not float:
-                    return None
-                result = opfn(a, b)
-                if isinf(result) or result != result:
-                    # Overflow (or infinity propagation, equally rare)
-                    # aborts or threads PSW state through the sequencer,
-                    # and NaN results take the architectural payload
-                    # (repro.core.types.nan_result); only the per-cycle
-                    # path models those.
-                    return None
-                results.append(result)
-                if stride_ra:
-                    ra_k += 1
-                if stride_rb:
-                    rb_k += 1
-
-        dc_tags = self.mem_port.dcache._tags
-        dc_lines = self.mem_port.dcache.num_lines
-        dc_lbytes = self.mem_port.dcache.line_bytes
-        store_cycles = self.mem_port.store_cycles
-        base = iregs[run.ra]
-        offsets = run.offsets
-        fss = run.fss
-        c_end = c0 + n_elems - 1
-        t = cycle
-        pf = port_free
-        port_stalls = interlock_stalls = sb_stalls = 0
-        writes_plan = []
-        for i in range(run.n):
-            fs = fss[i]
-            if t < pf:
-                port_stalls += pf - t
-                t = pf
-            if n_elems and rr0 <= fs <= dest_hi:
-                k = fs - rr0
-                ik = c0 + k
-                if t < ik - 1:
-                    # Would read the element stale and append the
-                    # ordering-hazard warning; only the per-cycle path
-                    # reproduces that.
-                    return None
-                if t == ik - 1:
-                    interlock_stalls += 1
-                    t = ik
-                rk = ik + latency
-                if t < rk:
-                    sb_stalls += rk - t
-                    t = rk
-                value = results[k]
-            else:
-                rk = retire_key.get(fs)
-                if rk is None:
-                    value = values[fs]
-                else:
-                    if t < rk:
-                        sb_stalls += rk - t
-                        t = rk
-                    value = retire_val[fs]
-            address = base + offsets[i]
-            word = address >> 3
-            line = address // dc_lbytes
-            if (word < 0 or word >= mem_len
-                    or dc_tags[line % dc_lines] != line // dc_lines):
-                return None
-            writes_plan.append((word, line % dc_lines, value))
-            pf = t + store_cycles
-            t += 1
-        t_last = t - 1
-        if n_elems and c_end > t_last + 1:
-            # The in-flight instruction outlives the run; issuing its
-            # elements past the CPU's cycle is unsound (a later
-            # instruction could still touch their registers).
-            return None
-        if t_last + 2 > limit:
-            return None
-        return (writes_plan, t_last, port_stalls, interlock_stalls,
-                sb_stalls, n_elems, rr0, c0, c_end, results)
-
     def _run_fast(self, max_cycles=None):
         """The unobserved fast path: bit-identical to :meth:`_run_slow`
         but coalescing work the per-cycle loop repeats.
 
-        Three mechanisms (see DESIGN.md section 14):
+        Two mechanisms (see DESIGN.md section 14):
 
-        * **superblock dispatch** -- straight-line runs of simple
-          integer instructions (:func:`repro.core.semantics.superblocks`)
-          execute block-at-a-time once their preconditions (FPU idle,
-          operands past all delay slots, fetch lines resident) hold;
-        * **vector element bursts** -- a conflict-free remainder of an
-          in-flight vector instruction issues in one call
-          (:meth:`repro.core.fpu.Fpu.try_issue_burst`) while the CPU is
-          stalled on the busy ALU IR;
         * **quiescent-cycle skipping** -- waits whose release cycle is
           already known (``cpu_ready`` holds, deterministic delay-slot
           and port waits, the post-HALT drain) jump ``cycle`` forward,
           retiring any writebacks that fall inside the skipped span at
-          their exact cycles.
+          their exact cycles (:meth:`_advance_fpu`);
+        * **steady-state loop memoization** -- once two consecutive trips
+          around a loop-closing backward branch have identical effects,
+          the remaining trips are applied in closed form
+          (:func:`_taken_run`).
 
-        Per-cycle semantics that the per-cycle loop exercises as side
-        effects are preserved exactly: stalled issue slots re-fetch from
-        the instruction buffer (so buffer hit counters advance per spin,
-        one fewer when the run dies at the cycle limit mid-wait), stall
+        Every instruction otherwise issues through its own arm, one per
+        dispatch kind, exactly as in the per-cycle loop.  Per-cycle
+        semantics that the per-cycle loop exercises as side effects are
+        preserved exactly: stalled issue slots re-fetch from the
+        instruction buffer (so buffer hit counters advance per spin, one
+        fewer when the run dies at the cycle limit mid-wait), stall
         cycles are attributed to the same counters in the same priority
         order, and FPU retirement always precedes element issue within a
         cycle.
@@ -1054,7 +885,6 @@ class ExecutionCore:
         memory_words = memory.words
         instructions = machine.program.instructions
         decoded = machine.decoded
-        blocks = machine.program.blocks
         iregs = machine.iregs
         ireg_ready = machine.ireg_ready
         sb_bits = fpu.scoreboard.bits
@@ -1063,7 +893,6 @@ class ExecutionCore:
         fetch_penalty = fetch_stage.penalty
         model_ibuffer = fetch_stage.enabled
         ibuf = fetch_stage.ibuf
-        ibuf_contains = ibuf.contains
         mem_port = self.mem_port
         dcache_access = mem_port.dcache.access
         model_tlb = mem_port.model_tlb
@@ -1072,15 +901,8 @@ class ExecutionCore:
         taken_cost = config.taken_branch_cycles
         program_length = len(decoded)
         try_issue_element = fpu.try_issue_element
-        try_issue_burst = fpu.try_issue_burst
-        load_runs, store_runs = machine.program.mem_runs
         fpu_stats = fpu.stats
         dcache = mem_port.dcache
-        dc_tags = dcache._tags
-        dc_dirty = dcache._dirty
-        dc_lines = dcache.num_lines
-        dc_lbytes = dcache.line_bytes
-        mem_len = len(memory_words)
 
         K_FALU = semantics.K_FALU
         K_FLOAD = semantics.K_FLOAD
@@ -1110,7 +932,8 @@ class ExecutionCore:
         fpu.emit_element = None
 
         # Above this cycle no integer register is inside a delay slot;
-        # superblocks use it to skip per-operand readiness checks.
+        # memoization engages only there, so no bulk jump can carry an
+        # absolute ``ireg_ready`` cycle along.
         ireg_horizon = max(ireg_ready)
 
         # -- steady-state loop memoization ----------------------------
@@ -1328,89 +1151,7 @@ class ExecutionCore:
                     raise machine._error(
                         "PC %d ran off the end of the program" % pc, cycle, pc)
 
-                # -- superblock dispatch --------------------------------
-                block = blocks[pc]
-                if (block is not None and fpu.alu_ir is None and not pending
-                        and cycle >= ireg_horizon
-                        and cycle + block.n_instructions + 1 <= limit):
-                    resident = True
-                    if model_ibuffer:
-                        for address in block.fetch_addresses:
-                            if not ibuf_contains(address):
-                                resident = False
-                                break
-                    if resident:
-                        n = block.n_instructions
-                        if model_ibuffer:
-                            ibuf.hits += n
-                        for body_entry in block.body:
-                            body_kind = body_entry[0]
-                            if body_kind == K_INT_IMM:
-                                rd = body_entry[1]
-                                if rd:
-                                    iregs[rd] = body_entry[4](
-                                        iregs[body_entry[2]], body_entry[3])
-                            elif body_kind == K_INT_BINOP:
-                                rd = body_entry[1]
-                                if rd:
-                                    iregs[rd] = body_entry[4](
-                                        iregs[body_entry[2]],
-                                        iregs[body_entry[3]])
-                            elif body_kind == K_LI:
-                                rd = body_entry[1]
-                                if rd:
-                                    iregs[rd] = body_entry[2]
-                            # K_NOP: instruction count only
-                        stats.instructions += n
-                        stats.integer_instructions += block.n_integer
-                        n_body = block.n_body
-                        terminal = block.terminal
-                        if terminal is None:
-                            pc += n_body
-                            cycle += n_body
-                            cpu_ready = cycle
-                        else:
-                            branch_cycle = cycle + n_body
-                            stats.branch_instructions += 1
-                            memo_args = None
-                            if terminal[0] == K_J:
-                                stats.taken_branches += 1
-                                pc = terminal[1]
-                                cpu_ready = branch_cycle + taken_cost
-                            elif terminal[4](iregs[terminal[1]],
-                                             iregs[terminal[2]]):
-                                stats.taken_branches += 1
-                                if terminal[3] <= pc \
-                                        and terminal[3] != memo_dead:
-                                    memo_args = (terminal[3], pc + n_body,
-                                                 terminal[4], terminal[1],
-                                                 terminal[2])
-                                pc = terminal[3]
-                                cpu_ready = branch_cycle + taken_cost
-                            else:
-                                pc += n_body + 1
-                                cpu_ready = branch_cycle + 1
-                            cycle = branch_cycle + 1
-                            if memo_args is not None:
-                                if (fpu.alu_ir is None and not pending
-                                        and fpu.aborted_ir is None
-                                        and not model_tlb
-                                        and cycle >= ireg_horizon):
-                                    jump, pf_jump, lr_jump = _memo_head(
-                                        memo_args[0], memo_args[1],
-                                        memo_args[2], memo_args[3],
-                                        memo_args[4], cycle, cpu_ready,
-                                        port_free, last_retire_cycle)
-                                    if jump:
-                                        cycle += jump
-                                        cpu_ready += jump
-                                        port_free += pf_jump
-                                        last_retire_cycle += lr_jump
-                                else:
-                                    memo_prev = None
-                        continue
-
-                # -- FetchStage: per-instruction delivery ---------------
+                # -- FetchStage: instruction delivery -------------------
                 if model_ibuffer:
                     penalty = fetch_penalty(pc)
                     if penalty:
@@ -1428,31 +1169,9 @@ class ExecutionCore:
                         stalls = 0
                         limit_hit = False
                         while True:
-                            state = fpu.alu_ir
-                            if (state is None
+                            if (fpu.alu_ir is None
                                     and cycle >= fpu.alu_ir_free_cycle):
                                 break
-                            # In-flight writebacks outside the burst's
-                            # register footprint are harmless (the burst
-                            # precheck refuses any reserved source or
-                            # destination); they retire at their exact
-                            # cycles in the drain below.
-                            if (state is not None
-                                    and cycle + state.remaining + 1 < limit):
-                                issued = try_issue_burst(cycle + 1)
-                                if issued:
-                                    stalls += issued + 1
-                                    cycle += issued + 1
-                                    while pending:
-                                        key = min(pending)
-                                        if key > cycle:
-                                            break
-                                        ready = pending.pop(key)
-                                        for register, value in ready:
-                                            values[register] = value
-                                            sb_bits[register] = False
-                                        last_retire_cycle = key
-                                    continue
                             stalls += 1
                             cycle += 1
                             if cycle >= limit:
@@ -1479,55 +1198,6 @@ class ExecutionCore:
 
                 # ---- FPU load ----
                 elif kind == K_FLOAD:
-                    # Load-run batch: consecutive floads off one base
-                    # register with distinct destinations issue one per
-                    # cycle with no stalls once the FPU is idle, the
-                    # port is free, and the base is past its delay slot.
-                    # Each load's writeback retires before the next
-                    # load's scoreboard check, so with no other pending
-                    # writes the registers can be written directly.
-                    run = load_runs[pc]
-                    if (run is not None and fpu.alu_ir is None
-                            and not pending and not model_tlb
-                            and cycle >= port_free
-                            and ireg_ready[run.ra] <= cycle
-                            and cycle + run.n + 1 <= limit):
-                        run_ok = True
-                        if model_ibuffer:
-                            for address in run.fetch_addresses:
-                                if not ibuf_contains(address):
-                                    run_ok = False
-                                    break
-                        if run_ok:
-                            base = iregs[run.ra]
-                            loaded = []
-                            for offset in run.offsets:
-                                address = base + offset
-                                word = address >> 3
-                                line = address // dc_lbytes
-                                if (word < 0 or word >= mem_len
-                                        or dc_tags[line % dc_lines]
-                                        != line // dc_lines):
-                                    run_ok = False
-                                    break
-                                loaded.append(memory_words[word])
-                        if run_ok:
-                            n = run.n
-                            if model_ibuffer:
-                                ibuf.hits += n - 1
-                            dcache.hits += n
-                            fds = run.fds
-                            for index in range(n):
-                                values[fds[index]] = loaded[index]
-                            stats.fpu_loads += n
-                            stats.instructions += n
-                            fpu_stats.loads += n
-                            cycle += n
-                            port_free = cycle
-                            cpu_ready = cycle
-                            last_retire_cycle = cycle
-                            pc += n
-                            continue
                     fd, ra, offset = entry[1], entry[2], entry[3]
                     state = fpu.alu_ir
                     if (cycle < port_free
@@ -1619,91 +1289,6 @@ class ExecutionCore:
 
                 # ---- FPU store ----
                 elif kind == K_FSTORE:
-                    # Store-run scheduler: consecutive fstores off one
-                    # base register have a closed-form schedule (see
-                    # _plan_store_run); the plan is validated in full
-                    # before any state mutates, so a bail falls through
-                    # to the per-cycle arm with nothing to undo.
-                    run = store_runs[pc]
-                    if (run is not None and not model_tlb
-                            and ireg_ready[run.ra] <= cycle):
-                        run_ok = True
-                        if model_ibuffer:
-                            for address in run.fetch_addresses:
-                                if not ibuf_contains(address):
-                                    run_ok = False
-                                    break
-                        plan = None
-                        if run_ok:
-                            plan = self._plan_store_run(
-                                run, cycle, port_free, limit, iregs,
-                                memory_words, mem_len)
-                        if plan is not None:
-                            (writes_plan, t_last, port_stalls,
-                             interlock_stalls, sb_stalls, n_elems, rr0,
-                             c0, c_end, results) = plan
-                            n = run.n
-                            end_cycle = t_last + 1
-                            if model_ibuffer:
-                                ibuf.hits += (n - 1 + port_stalls
-                                              + interlock_stalls
-                                              + sb_stalls)
-                            dcache.hits += n
-                            for word, line, value in writes_plan:
-                                old = memory_words[word]
-                                if old is not value and not (
-                                        type(old) is type(value)
-                                        and old == value and value != 0):
-                                    memo_clean = False
-                                memory_words[word] = value
-                                dc_dirty[line] = True
-                            batch_last = -1
-                            if pending:
-                                for key in tuple(pending):
-                                    if key < end_cycle:
-                                        for register, value in \
-                                                pending.pop(key):
-                                            values[register] = value
-                                            sb_bits[register] = False
-                                        if key > batch_last:
-                                            batch_last = key
-                            if n_elems:
-                                state = fpu.alu_ir
-                                unit = fpu.units[UNIT_OF_OP[state.op]]
-                                unit.issue_count += n_elems
-                                fpu_stats.elements_issued += n_elems
-                                fpu_stats.flops += n_elems
-                                retire0 = c0 + fpu.latency
-                                for k in range(n_elems):
-                                    retire_at = retire0 + k
-                                    dest = rr0 + k
-                                    if retire_at < end_cycle:
-                                        values[dest] = results[k]
-                                        if retire_at > batch_last:
-                                            batch_last = retire_at
-                                    else:
-                                        sb_bits[dest] = True
-                                        if retire_at in pending:
-                                            pending[retire_at].append(
-                                                (dest, results[k]))
-                                        else:
-                                            pending[retire_at] = [
-                                                (dest, results[k])]
-                                fpu.alu_ir = None
-                                fpu.alu_ir_free_cycle = c_end + 1
-                            if batch_last > last_retire_cycle:
-                                last_retire_cycle = batch_last
-                            stats.stall_port += port_stalls
-                            stats.stall_vector_interlock += interlock_stalls
-                            stats.stall_scoreboard += sb_stalls
-                            stats.fpu_stores += n
-                            stats.instructions += n
-                            fpu_stats.stores += n
-                            cycle = end_cycle
-                            cpu_ready = end_cycle
-                            port_free = t_last + store_cycles
-                            pc += n
-                            continue
                     fs, ra, offset = entry[1], entry[2], entry[3]
                     state = fpu.alu_ir
                     if (cycle < port_free
@@ -1783,7 +1368,6 @@ class ExecutionCore:
                         memo_clean = False
                         memory.write(address, value)
                         memory_words = memory.words
-                        mem_len = len(memory_words)
                     else:
                         old = memory_words[word]
                         if old is not value and not (
@@ -1959,7 +1543,6 @@ class ExecutionCore:
                         memo_clean = False
                         memory.write(address, value)
                         memory_words = memory.words
-                        mem_len = len(memory_words)
                     else:
                         old = memory_words[word]
                         if old is not value and not (

@@ -85,8 +85,6 @@ class Program:
         self.labels = labels
         self.source_comments = source_comments or {}
         self._decoded = None
-        self._blocks = None
-        self._mem_runs = None
 
     def __len__(self):
         return len(self.instructions)
@@ -104,27 +102,6 @@ class Program:
             from repro.core import semantics
             self._decoded = semantics.predecode(self.instructions)
         return self._decoded
-
-    @property
-    def blocks(self):
-        """Per-pc superblock table for the execution core's fast path
-        (:func:`repro.core.semantics.superblocks`); lazy like
-        :attr:`decoded` and shared by every machine running this
-        program."""
-        if self._blocks is None:
-            from repro.core import semantics
-            self._blocks = semantics.superblocks(self.decoded)
-        return self._blocks
-
-    @property
-    def mem_runs(self):
-        """Per-pc ``(load_runs, store_runs)`` tables for the fast path
-        (:func:`repro.core.semantics.memory_runs`); lazy and shared like
-        :attr:`blocks`."""
-        if self._mem_runs is None:
-            from repro.core import semantics
-            self._mem_runs = semantics.memory_runs(self.decoded)
-        return self._mem_runs
 
     def disassemble(self):
         label_at = {label.index: label.name for label in self.labels.values()}

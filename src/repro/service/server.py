@@ -741,6 +741,13 @@ class HttpFrontend:
             writer.write(protocol.format_sse(snapshot))
             await asyncio.wait_for(writer.drain(), SSE_WRITE_TIMEOUT)
             if campaign.terminal:
+                # The campaign may have finished while the snapshot
+                # drained.  Every transition publishes on this loop, so
+                # its terminal state event is already queued: flush it
+                # rather than end the stream on a stale snapshot.
+                while not queue.empty():
+                    writer.write(protocol.format_sse(queue.get_nowait()))
+                await asyncio.wait_for(writer.drain(), SSE_WRITE_TIMEOUT)
                 return
             while True:
                 try:

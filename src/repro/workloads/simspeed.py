@@ -95,7 +95,7 @@ def time_kernel(name, iterations, repeats, fast_path=True, backend=None):
     """Best-of-``repeats`` simulated-cycles-per-second for one kernel.
 
     ``fast_path=False`` times the reference per-cycle loop instead of
-    the superblock/burst fast path; both must simulate the same number
+    the fast path; both must simulate the same number
     of cycles (enforced by the fast-vs-slow differential fuzz mode and
     by ``benchmarks/bench_simspeed.py``'s ratio gate).  ``backend``
     times a registered execution backend instead (the named backend's

@@ -1,6 +1,7 @@
-"""Fast-path execution core: bit-exactness of superblock dispatch,
-vector element bursts, quiescent-cycle skipping and steady-state loop
-memoization against the reference per-cycle loop.
+"""Fast-path execution core: bit-exactness of quiescent-cycle skipping
+and steady-state loop memoization against the reference per-cycle loop,
+on synthetic programs and on the paper's own kernels across the design
+space the DSE gym searches.
 
 Every behavioural test here runs the same program through both paths
 (``MachineConfig(fast_path=...)``) and compares final snapshots with the
@@ -8,32 +9,42 @@ same bit-exact recursion the differential fuzzer uses, so a regression
 in either path shows up as a concrete field path, not a flaky number.
 """
 
+import functools
 import operator
+import random
 import struct
 
 import pytest
 
+from repro.core.encoding import MAX_VECTOR_LENGTH
 from repro.core.exceptions import SimulationError
 from repro.core.functional_units import CYCLE_TIME_NS
 from repro.cpu.machine import MachineConfig, MultiTitan
 from repro.cpu.pipeline import _taken_run
 from repro.cpu.program import ProgramBuilder
+from repro.dse import space_preset
 from repro.mem.memory import Memory, WORD_BYTES
 from repro.robustness.fuzz.driver import _state_difference
+from repro.workloads.linpack import build_linpack
+from repro.workloads.livermore.kernels_common import build_loop
 
 
-def machine_for(program, words=None, fast_path=True, **config_kwargs):
+def machine_for(program, words=None, fast_path=True, setup=None,
+                **config_kwargs):
     memory = Memory()
     if words:
         memory.words[: len(words)] = list(words)
     config = MachineConfig(fast_path=fast_path, **config_kwargs)
-    return MultiTitan(program, memory=memory, config=config)
+    machine = MultiTitan(program, memory=memory, config=config)
+    if setup is not None:
+        setup(machine)
+    return machine
 
 
-def run_both(program, words=None, **config_kwargs):
+def run_both(program, words=None, setup=None, **config_kwargs):
     """Run on both paths; assert bit-identical state and results."""
-    fast = machine_for(program, words, fast_path=True, **config_kwargs)
-    slow = machine_for(program, words, fast_path=False, **config_kwargs)
+    fast = machine_for(program, words, True, setup, **config_kwargs)
+    slow = machine_for(program, words, False, setup, **config_kwargs)
     fast_result = fast.run()
     slow_result = slow.run()
     difference = _state_difference(fast.snapshot(), slow.snapshot())
@@ -120,7 +131,7 @@ class TestErrorMidVector:
             outcomes.append(machine)
         fast, slow = outcomes
         # The finally-clause writeback must leave the hoisted locals in
-        # the machine even when the error propagates mid-burst.
+        # the machine even when the error propagates mid-vector.
         assert fast.cycle == slow.cycle
         assert fast.pc == slow.pc
         assert fast.halted == slow.halted
@@ -138,13 +149,13 @@ class TestErrorMidVector:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: snapshot at arbitrary stop_cycle inside a fast-path burst
+# Satellite: snapshot at arbitrary stop_cycle inside an in-flight vector
 # ---------------------------------------------------------------------------
 
 def _vector_store_kernel():
-    """A kernel with a vector burst immediately followed by a store run,
-    so a stop-cycle sweep crosses both an element burst and a cycle
-    where the store port holds the CPU."""
+    """A kernel with two chained vectors immediately followed by a run of
+    stores, so a stop-cycle sweep crosses both in-flight elements and
+    cycles where the store port holds the CPU."""
     b = ProgramBuilder()
     b.li(1, 0)
     b.li(2, 16 * WORD_BYTES)
@@ -171,7 +182,7 @@ class TestStopCycleInsideBurst:
         for stop in range(1, final + 1):
             paused = machine_for(program, words, fast_path=True)
             paused.run(stop_cycle=stop)  # stop_cycle forces the
-            # per-cycle loop; the snapshot lands mid-burst/mid-store
+            # per-cycle loop; the snapshot lands mid-vector/mid-store
             resumed = machine_for(program, words, fast_path=True)
             resumed.restore(paused.snapshot())
             result = resumed.run()
@@ -290,14 +301,14 @@ class TestTakenRunSolver:
 
 
 # ---------------------------------------------------------------------------
-# NaN payload propagation (regression: burst arithmetic call sites)
+# NaN payload propagation (regression: inline arithmetic call sites)
 # ---------------------------------------------------------------------------
 
 class TestNaNPayloads:
-    """Inline burst arithmetic must retire the same NaN bit pattern as
-    ``execute_op`` (the reference executor's call site): CPython's
-    per-site specialization of commutative float ``+`` can otherwise
-    propagate the *other* operand's payload."""
+    """The sequencer's inline arithmetic must retire the same NaN bit
+    pattern as ``execute_op`` (the reference executor's call site):
+    CPython's per-site specialization of commutative float ``+`` can
+    otherwise propagate the *other* operand's payload."""
 
     def test_nan_plus_nan_bit_pattern_matches_slow_path(self):
         b = ProgramBuilder()
@@ -314,9 +325,8 @@ class TestNaNPayloads:
                 machine.fpu.regs.values[reg]  # NaN retired
 
     def test_nan_store_run_matches_slow_path(self):
-        # NaN flowing through a load/compute/store run: the store-run
-        # planner must bail to the per-element path rather than commit
-        # a payload computed at a different call site.
+        # NaN flowing through a load/compute/store loop: every path
+        # must store the payload the architecture defines.
         def body(b):
             b.fload(0, 1, 0)
             b.fload(1, 1, WORD_BYTES)
@@ -328,6 +338,62 @@ class TestNaNPayloads:
         machine, _ = run_both(program, words)
         stored = machine.memory.read(4 * WORD_BYTES)
         assert stored != stored
+
+
+# ---------------------------------------------------------------------------
+# The paper's kernels across the design space the DSE gym searches
+# ---------------------------------------------------------------------------
+
+#: Livermore loops that run out of FPU registers above this strip length
+#: (the codegen ceiling repro.dse.fitness records as a suite entry's
+#: ``vl_cap``); every other loop compiles at the full VL of 16.
+LIVERMORE_VL_CAP = {2: 8, 7: 4, 8: 4, 9: 8, 10: 4}
+
+
+def _searched_configs():
+    """Three seeded samples of the default DSE space, plus both FPU
+    latency extremes of that space with free cache misses."""
+    space = space_preset("default")
+    rng = random.Random(1989)
+    configs = [("sample%d" % index, space.config_for(space.sample(rng)))
+               for index in range(3)]
+    configs += [("latency%d" % latency,
+                 {"fpu_latency": latency, "dcache_miss_penalty": 0})
+                for latency in (1, 8)]
+    return configs
+
+
+def _paper_kernel_cases():
+    """Livermore 1-24 (vector coding, VL capped like the DSE fitness
+    caps it) and Linpack n=12 (scalar; vector when its fixed VL of 8
+    fits under the ceiling) on every searched config."""
+    cases = []
+    for name, overrides in _searched_configs():
+        max_vl = MachineConfig.from_overrides(overrides).max_vl
+        for loop in range(1, 25):
+            vl = min(LIVERMORE_VL_CAP.get(loop, MAX_VECTOR_LENGTH), max_vl)
+            cases.append(pytest.param(
+                overrides, functools.partial(build_loop, loop, vl=vl),
+                id="%s-LL%02d" % (name, loop)))
+        codings = ("scalar", "vector") if max_vl >= 8 else ("scalar",)
+        for coding in codings:
+            cases.append(pytest.param(
+                overrides, functools.partial(build_linpack, 12, coding),
+                id="%s-linpack-%s" % (name, coding)))
+    return cases
+
+
+class TestPaperKernelsAcrossSearchedSpace:
+    """The synthetic programs above run near the default config; the
+    gym reports results at other latencies, cache geometries, miss
+    penalties and VL ceilings, where the memoizer's closed-form jump is
+    most likely to break."""
+
+    @pytest.mark.parametrize("overrides, build", _paper_kernel_cases())
+    def test_fast_path_matches_per_cycle_loop(self, overrides, build):
+        kernel = build()
+        run_both(kernel.program, kernel.memory.words, setup=kernel.setup,
+                 **overrides)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ in :func:`repro.robustness.chaos.run_service_chaos`; these tests pin
 the protocol and every admission/lifecycle decision deterministically.
 """
 
+import asyncio
 import http.client
 import json
 
@@ -17,7 +18,8 @@ from repro.orchestrate import dump_bench_json, run_campaign
 from repro.service import protocol
 from repro.service.client import (ServiceClient, ServiceError,
                                   ServiceOverloaded)
-from repro.service.server import CampaignService, ServiceThread, TokenBucket
+from repro.service.server import (Campaign, CampaignService, HttpFrontend,
+                                  ServiceThread, TokenBucket)
 
 # Service campaigns execute on executor threads; chaos-faulted ones then
 # fork workers from a threaded process, which Python 3.12 deprecates.
@@ -41,6 +43,19 @@ def _thread(tmp_path, **kwargs):
     kwargs.setdefault("retry_base", 0.01)
     kwargs.setdefault("drain_grace", 0.2)
     return ServiceThread(**kwargs)
+
+
+class _Stream:
+    """A readable byte stream over a fixed buffer, for ``iter_sse``."""
+
+    def __init__(self, data):
+        self.data = data
+        self.pos = 0
+
+    def read(self, n):
+        chunk = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return chunk
 
 
 def _hang_submit(client, requests=None, **options):
@@ -107,18 +122,7 @@ class TestProtocol:
         events = [{"event": "task", "index": 1}, {"event": "state",
                                                   "state": "done"}]
         blob = b"".join(protocol.format_sse(event) for event in events)
-
-        class Stream:
-            def __init__(self, data):
-                self.data = data
-                self.pos = 0
-
-            def read(self, n):
-                chunk = self.data[self.pos:self.pos + n]
-                self.pos += n
-                return chunk
-
-        assert list(protocol.iter_sse(Stream(blob))) == events
+        assert list(protocol.iter_sse(_Stream(blob))) == events
 
 
 class TestTokenBucket:
@@ -349,3 +353,37 @@ class TestServiceCore:
         assert service.jobs == 1
         assert service.max_active == 1
         assert service.cache_dir == str(tmp_path / "c")
+
+    def test_sse_stream_ends_terminal_when_campaign_finishes_mid_snapshot(
+            self, tmp_path):
+        # The campaign turns terminal while the leading status snapshot
+        # drains: the stream must still end on the terminal state event
+        # that transition queued, not on the stale "running" snapshot.
+        service = CampaignService(cache_dir=tmp_path / "c")
+        serialized = [SMALL[0].to_dict()]
+        cid = protocol.campaign_id(serialized)
+        campaign = Campaign(cid, serialized, {}, 0)
+        campaign.state = "running"
+        service.campaigns[cid] = campaign
+
+        class Writer:
+            def __init__(self):
+                self.data = b""
+                self.drains = 0
+
+            def write(self, data):
+                self.data += data
+
+            async def drain(self):
+                self.drains += 1
+                if self.drains == 1:
+                    service._finish(campaign, "done")
+
+        writer = Writer()
+        asyncio.run(HttpFrontend(service)._stream_events(cid, writer))
+        body = writer.data.split(b"\r\n\r\n", 1)[1]
+        events = list(protocol.iter_sse(_Stream(body)))
+        assert events[0]["event"] == "status"
+        assert events[0]["state"] == "running"
+        assert events[-1]["event"] == "state"
+        assert events[-1]["state"] in protocol.TERMINAL_STATES
