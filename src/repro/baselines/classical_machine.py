@@ -602,8 +602,7 @@ class ClassicalVectorBackend(ExecutionBackend):
             "version": self.SNAPSHOT_VERSION,
             "backend": self.backend_id,
             "program_length": len(self.program.instructions),
-            "program_digest": semantics.program_digest(
-                self.program.instructions),
+            "program_digest": self.program.digest,
             "cycle": self.cycle,
             "pc": self.pc,
             "epc": self.epc,
@@ -634,7 +633,7 @@ class ClassicalVectorBackend(ExecutionBackend):
                    self.SNAPSHOT_VERSION, self.backend_id))
         if (snapshot["program_length"] != len(self.program.instructions)
                 or snapshot["program_digest"]
-                != semantics.program_digest(self.program.instructions)):
+                != self.program.digest):
             raise SimulationError(
                 "snapshot was taken from a different program")
         self.cycle = snapshot["cycle"]

@@ -227,12 +227,6 @@ def _classical_factory(program, memory=None, config=None):
     return ClassicalVectorBackend(program, memory=memory, config=config)
 
 
-def _soa_factory(program, memory=None, config=None):
-    from repro.batch.engine import create_soa_machine
-
-    return create_soa_machine(program, memory=memory, config=config)
-
-
 register_backend(
     "percycle",
     "MultiTitan, reference cycle-by-cycle staged pipeline",
@@ -252,23 +246,3 @@ register_backend(
     factory=_classical_factory,
     supports_faults=False,
 )
-
-# The batched struct-of-arrays backend needs NumPy, which is an optional
-# extra (``pip install .[batch]``); without it the registry simply omits
-# ``soa`` and everything else keeps working.  The gate is a real import
-# -- the same test ``repro.batch.HAVE_NUMPY`` applies -- not
-# ``find_spec``: a present-but-broken NumPy must leave ``soa``
-# unregistered, never advertise a backend whose factory cannot import.
-try:
-    import numpy as _numpy  # noqa: F401
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _numpy = None
-
-if _numpy is not None:
-    register_backend(
-        "soa",
-        "struct-of-arrays batched fleet (one lane; percycle-identical)",
-        timing_domain="multititan",
-        factory=_soa_factory,
-        supports_faults=False,
-    )

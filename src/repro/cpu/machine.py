@@ -366,8 +366,7 @@ class MultiTitan(ExecutionBackend):
         return {
             "version": self.SNAPSHOT_VERSION,
             "program_length": len(self.program.instructions),
-            "program_digest": semantics.program_digest(
-                self.program.instructions),
+            "program_digest": self.program.digest,
             "cycle": self.cycle,
             "pc": self.pc,
             "epc": self.epc,
@@ -408,7 +407,7 @@ class MultiTitan(ExecutionBackend):
                 % (version, self.SNAPSHOT_VERSION))
         if (snapshot["program_length"] != len(self.program.instructions)
                 or snapshot["program_digest"]
-                != semantics.program_digest(self.program.instructions)):
+                != self.program.digest):
             raise SimulationError(
                 "snapshot was taken from a different program")
         self.cycle = snapshot["cycle"]

@@ -364,7 +364,8 @@ class ExecutionCore:
         stats = machine.stats
         fpu = self.sequencer.fpu
         memory = machine.memory
-        memory_words = memory.words
+        memory_words = memory.raw_words
+        mark = memory.mark  # stores below it skip Memory.store
         instructions = machine.program.instructions
         decoded = machine.decoded
         iregs = machine.iregs
@@ -583,11 +584,12 @@ class ExecutionCore:
                     except SimulationError as err:
                         raise machine._attach_context(err, cycle, pc,
                                                       instructions[pc])
-                    if address >> 3 >= len(memory_words):
-                        memory.write(address, value)
-                        memory_words = memory.words
+                    word = address >> 3
+                    if 0 <= word < mark:
+                        memory_words[word] = value
                     else:
-                        memory_words[address >> 3] = value
+                        memory.store(address, value)
+                        mark = memory.mark
                     if emit_store is not None:
                         emit_store(StoreIssueEvent(effective, fs))
                     stats.fpu_stores += 1
@@ -677,11 +679,12 @@ class ExecutionCore:
                         penalty += tlb_translate(address)
                     if penalty:
                         stats.stall_dcache_miss_cycles += penalty
-                    if address >> 3 >= len(memory_words):
-                        memory.write(address, iregs[rs])
-                        memory_words = memory.words
+                    word = address >> 3
+                    if 0 <= word < mark:
+                        memory_words[word] = iregs[rs]
                     else:
-                        memory_words[address >> 3] = iregs[rs]
+                        memory.store(address, iregs[rs])
+                        mark = memory.mark
                     stats.instructions += 1
                     stats.integer_instructions += 1
                     port_free = cycle + penalty + store_cycles
@@ -882,7 +885,8 @@ class ExecutionCore:
         stats = machine.stats
         fpu = self.sequencer.fpu
         memory = machine.memory
-        memory_words = memory.words
+        memory_words = memory.raw_words
+        mark = memory.mark  # stores below it skip Memory.store
         instructions = machine.program.instructions
         decoded = machine.decoded
         iregs = machine.iregs
@@ -1364,10 +1368,10 @@ class ExecutionCore:
                         raise machine._attach_context(err, cycle, pc,
                                                       instructions[pc])
                     word = address >> 3
-                    if word >= len(memory_words):
+                    if not 0 <= word < mark:
                         memo_clean = False
-                        memory.write(address, value)
-                        memory_words = memory.words
+                        memory.store(address, value)
+                        mark = memory.mark
                     else:
                         old = memory_words[word]
                         if old is not value and not (
@@ -1539,10 +1543,10 @@ class ExecutionCore:
                         stats.stall_dcache_miss_cycles += penalty
                     word = address >> 3
                     value = iregs[rs]
-                    if word >= len(memory_words):
+                    if not 0 <= word < mark:
                         memo_clean = False
-                        memory.write(address, value)
-                        memory_words = memory.words
+                        memory.store(address, value)
+                        mark = memory.mark
                     else:
                         old = memory_words[word]
                         if old is not value and not (

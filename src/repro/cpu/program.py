@@ -85,6 +85,7 @@ class Program:
         self.labels = labels
         self.source_comments = source_comments or {}
         self._decoded = None
+        self._digest = None
 
     def __len__(self):
         return len(self.instructions)
@@ -102,6 +103,16 @@ class Program:
             from repro.core import semantics
             self._decoded = semantics.predecode(self.instructions)
         return self._decoded
+
+    @property
+    def digest(self):
+        """SHA-256 of the instruction stream, computed once per program
+        like :attr:`decoded` (:func:`repro.core.semantics.program_digest`).
+        """
+        if self._digest is None:
+            from repro.core import semantics
+            self._digest = semantics.program_digest(self.instructions)
+        return self._digest
 
     def disassemble(self):
         label_at = {label.index: label.name for label in self.labels.values()}

@@ -92,7 +92,7 @@ class DifferentialChecker:
                     register=register, cycle=cycle, pc=pc,
                     instruction=instruction, expected=value, actual=actual)
         for index, value in effects["mem_writes"]:
-            actual = machine.memory.words[index]
+            actual = machine.memory.raw_words[index]
             if not bit_exact(actual, value):
                 self._diverge(
                     "memory word %d (address %d) = %r, reference wrote %r"
@@ -146,7 +146,7 @@ class DifferentialChecker:
                     % (register, value, reference.iregs[register]),
                     register=register, expected=reference.iregs[register],
                     actual=value)
-        machine_words = machine.memory.words
+        machine_words = machine.memory.raw_words
         for index, value in enumerate(reference.memory):
             actual = machine_words[index] if index < len(machine_words) else 0.0
             if not bit_exact(actual, value):
@@ -193,11 +193,11 @@ def check_kernel(kernel, config=None):
     Runs the kernel cold under the checker, restores the memory image
     afterwards (kernels are reusable), and returns the checker.
     """
-    snapshot = list(kernel.memory.words)
+    snapshot = kernel.memory.delta_snapshot()
     try:
         _, checker = run_differential(
             kernel.program, memory=kernel.memory, config=config,
             setup=kernel.setup)
     finally:
-        kernel.memory.words[:] = snapshot
+        kernel.memory.restore_delta(snapshot)
     return checker

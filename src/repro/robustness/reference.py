@@ -102,7 +102,7 @@ class ReferenceExecutor:
             machine.program.instructions,
             iregs=machine.iregs,
             fregs=machine.fpu.regs.values,
-            memory_words=machine.memory.words,
+            memory_words=machine.memory.raw_words,
             pc=machine.pc,
             decoded=machine.decoded,
         )

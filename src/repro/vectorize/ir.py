@@ -381,7 +381,7 @@ class CompiledKernel:
 
     def run(self, config=None, check=True, rel_tol=1e-9):
         config = config or MachineConfig(model_ibuffer=False)
-        snapshot = list(self.memory.words)
+        snapshot = self.memory.delta_snapshot()
         machine = MultiTitan(self.program, memory=self.memory, config=config)
         result = machine.run()
         outputs = {name: self.memory.read_block(self.addresses[name], self.n)
@@ -406,7 +406,7 @@ class CompiledKernel:
                     if not math.isclose(got, want, rel_tol=max(rel_tol, 1e-6),
                                         abs_tol=1e-12):
                         error = "%s = %r, want %r" % (name, got, want)
-        self.memory.words[:] = snapshot
+        self.memory.restore_delta(snapshot)
         return KernelOutcome(result.completion_cycle, outputs, sums, error,
                              machine)
 

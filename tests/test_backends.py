@@ -42,11 +42,7 @@ def _smoke_machine(name):
 
 class TestRegistry:
     def test_registered_names_and_default(self):
-        # The soa backend registers only when its optional NumPy
-        # dependency is importable (pip install .[batch]).
-        assert ALL_BACKENDS[:3] == ("percycle", "fastpath", "classical")
-        from repro.batch import HAVE_NUMPY
-        assert (("soa" in ALL_BACKENDS) == HAVE_NUMPY)
+        assert ALL_BACKENDS == ("percycle", "fastpath", "classical")
         assert DEFAULT_BACKEND == "fastpath"
         assert get_backend().name == "fastpath"
 
@@ -65,11 +61,6 @@ class TestRegistry:
         assert get_backend("fastpath").timing_domain == "multititan"
         assert get_backend("classical").timing_domain == "classical"
         assert not get_backend("classical").supports_faults
-        if "soa" in ALL_BACKENDS:
-            # Same timing domain as percycle: the oracle compares their
-            # full snapshots (cycle counts included) bit-for-bit.
-            assert get_backend("soa").timing_domain == "multititan"
-            assert not get_backend("soa").supports_faults
 
     def test_named_backends_force_dispatch_strategy(self):
         program = smoke.build_workload()

@@ -81,6 +81,26 @@ class TestProgramBuilder:
         assert "loop:" in text
         assert "addi r1, r1, 1" in text
 
+    def test_digest_is_hashed_once_per_program(self, monkeypatch):
+        from repro.core import semantics
+
+        calls = []
+        original = semantics.program_digest
+
+        def counting(instructions):
+            calls.append(instructions)
+            return original(instructions)
+
+        monkeypatch.setattr(semantics, "program_digest", counting)
+        b = ProgramBuilder()
+        b.li(1, 3)
+        program = b.build()
+        machine = run(program)
+        for _ in range(3):
+            machine.restore(machine.snapshot())
+        assert program.digest == original(program.instructions)
+        assert len(calls) == 1
+
     def test_r0_is_never_written(self):
         b = ProgramBuilder()
         b.li(0, 42)
